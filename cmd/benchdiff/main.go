@@ -8,7 +8,7 @@
 //	          [-scale 0.01] [-max-regression-pct 25] [-max-mem-regression-pct 25] \
 //	          [-ignore-fingerprints]
 //
-// Three gates:
+// Four gates:
 //
 //  1. Behavior: every trace present in both snapshots at the compared
 //     scale must carry identical SRM and CESRM fingerprints. A mismatch
@@ -32,6 +32,14 @@
 //     scale-1 suite once peaked over 4 GB before per-packet state was
 //     released mid-run. Skipped when either snapshot predates the
 //     peak_heap_bytes field.
+//  4. Allocations: the fresh suite_mallocs must not exceed the committed
+//     count by more than maxMallocRegressionPct (5%, fixed). Malloc
+//     counts are exact and nearly deterministic for a fixed seed and
+//     binary, so a tight budget catches an allocation regression that
+//     wall time would hide in its noise — scale-1 mallocs once doubled
+//     without any other gate noticing. Like the heap gate it is skipped
+//     when either snapshot lacks the field or the dispatch configs
+//     differ (sharded dispatch allocates op logs serial runs do not).
 //
 // -scale selects which swept scale entry to compare; 0 (the default)
 // picks the smallest scale present in both files, which for CI is the
@@ -45,6 +53,11 @@ import (
 	"fmt"
 	"os"
 )
+
+// maxMallocRegressionPct is the allocation gate's fixed budget: the
+// fresh suite_mallocs may exceed the committed count by at most this
+// percentage.
+const maxMallocRegressionPct = 5
 
 // snapshot covers both cesrm-bench schemas: the current multi-scale one
 // (runs) and the legacy single-scale one (top-level scale/perf/traces).
@@ -65,6 +78,7 @@ type diffRun struct {
 
 type diffPerf struct {
 	ElapsedNS     int64  `json:"suite_elapsed_ns"`
+	Mallocs       uint64 `json:"suite_mallocs"`
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
 	Parallel      int    `json:"parallel"`
 	Shards        int    `json:"shards"`
@@ -244,6 +258,23 @@ func diff(committed, fresh *diffRun, maxRegressionPct, maxMemRegressionPct float
 		fmt.Printf("peak heap: committed %.1f MB, fresh %.1f MB (%+.1f%%, budget +%.0f%%) %s\n",
 			float64(committed.Perf.PeakHeapBytes)/1e6, float64(fresh.Perf.PeakHeapBytes)/1e6,
 			pct, maxMemRegressionPct, verdict)
+	}
+	if c, f := committed.Perf.Mallocs, fresh.Perf.Mallocs; c > 0 && f > 0 {
+		if !comparableWall(committed.Perf, fresh.Perf) {
+			fmt.Printf("mallocs: committed %d (%s), fresh %d (%s) — configs differ, gate skipped\n",
+				c, committed.Perf.config(), f, fresh.Perf.config())
+		} else {
+			pct := 100 * (float64(f) - float64(c)) / float64(c)
+			verdict := "ok"
+			if pct > maxMallocRegressionPct {
+				verdict = "FAIL"
+				fails = append(fails, fmt.Sprintf(
+					"suite mallocs regressed %.1f%% (%d -> %d), budget %d%%",
+					pct, c, f, maxMallocRegressionPct))
+			}
+			fmt.Printf("mallocs: committed %d, fresh %d (%+.1f%%, budget +%d%%) %s\n",
+				c, f, pct, maxMallocRegressionPct, verdict)
+		}
 	}
 	// Flood plan cache counters are deterministic (a pure function of the
 	// run configuration), so they are reported rather than gated: a hit

@@ -159,3 +159,64 @@ func TestRejectsDisjointScalesAndSeeds(t *testing.T) {
 		t.Fatal("mismatched seeds passed")
 	}
 }
+
+// mallocBody is a one-trace snapshot whose perf block carries the given
+// suite_mallocs under the given shard count (0 = serial, unrecorded).
+func mallocBody(mallocs int64, shards int64) string {
+	return `{
+  "seed": 1, "fingerprint_version": "v1",
+  "runs": [{
+    "scale": 0.01,
+    "perf": {"suite_elapsed_ns": 1000000000, "suite_mallocs": ` + itoa(mallocs) + `, "parallel": 1, "shards": ` + itoa(shards) + `},
+    "traces": [
+      {"index": 1, "name": "A", "srm_fingerprint": "v1:aa", "cesrm_fingerprint": "v1:bb"}
+    ]
+  }]
+}`
+}
+
+func TestMallocGatePassesWithinBudget(t *testing.T) {
+	c := write(t, "committed.json", mallocBody(1_000_000, 0))
+	f := write(t, "fresh.json", mallocBody(1_049_000, 0)) // +4.9% < 5%
+	if err := run([]string{"-committed", c, "-fresh", f}); err != nil {
+		t.Fatalf("within-budget malloc comparison failed: %v", err)
+	}
+	// Fewer allocations always pass.
+	f2 := write(t, "fresh2.json", mallocBody(500_000, 0))
+	if err := run([]string{"-committed", c, "-fresh", f2}); err != nil {
+		t.Fatalf("malloc improvement failed: %v", err)
+	}
+}
+
+func TestMallocGateFailsOverBudget(t *testing.T) {
+	c := write(t, "committed.json", mallocBody(1_000_000, 0))
+	f := write(t, "fresh.json", mallocBody(1_051_000, 0)) // +5.1% > 5%
+	if err := run([]string{"-committed", c, "-fresh", f}); err == nil {
+		t.Fatal("5.1% malloc regression passed the 5% gate")
+	}
+	// The budget is fixed: the wall and heap budget flags do not loosen it.
+	if err := run([]string{"-committed", c, "-fresh", f,
+		"-max-regression-pct", "10000", "-max-mem-regression-pct", "10000"}); err == nil {
+		t.Fatal("malloc gate loosened by the wall/heap budget flags")
+	}
+}
+
+func TestMallocGateSkippedAcrossConfigsOrMissingField(t *testing.T) {
+	c := write(t, "committed.json", mallocBody(1_000_000, 0))
+	// Doubled mallocs under shards=8 vs serial measure different
+	// executions: reported, not gated.
+	sharded := write(t, "sharded.json", mallocBody(2_000_000, 8))
+	if err := run([]string{"-committed", c, "-fresh", sharded}); err != nil {
+		t.Fatalf("cross-config malloc comparison gated: %v", err)
+	}
+	// A snapshot predating suite_mallocs skips the gate.
+	legacy := write(t, "legacy.json", committedBody)
+	if err := run([]string{"-committed", legacy, "-fresh", sharded}); err != nil {
+		t.Fatalf("malloc gate fired against a snapshot without suite_mallocs: %v", err)
+	}
+	// Matching sharded configs gate again.
+	c8 := write(t, "committed8.json", mallocBody(1_000_000, 8))
+	if err := run([]string{"-committed", c8, "-fresh", sharded}); err == nil {
+		t.Fatal("100% malloc regression under matching sharded configs passed")
+	}
+}

@@ -14,12 +14,13 @@ const (
 func init() {
 	netsim.RegisterMessage(WireNAK, (*NAKMsg)(nil), netsim.MsgCodec{
 		Name: "lms.NAKMsg",
-		Encode: func(e *netsim.Encoder, msg any) {
+		Encode: func(e netsim.Encoder, msg any) netsim.Encoder {
 			m := msg.(*NAKMsg)
 			e.Int(m.Seq)
 			e.Node(m.Requestor)
 			e.Node(m.TurningPoint)
 			e.Node(m.OriginChild)
+			return e
 		},
 		Decode: func(d *netsim.Decoder) any {
 			return &NAKMsg{
@@ -32,11 +33,12 @@ func init() {
 	})
 	netsim.RegisterMessage(WireRepair, (*RepairMsg)(nil), netsim.MsgCodec{
 		Name: "lms.RepairMsg",
-		Encode: func(e *netsim.Encoder, msg any) {
+		Encode: func(e netsim.Encoder, msg any) netsim.Encoder {
 			m := msg.(*RepairMsg)
 			e.Int(m.Seq)
 			e.Node(m.Replier)
 			e.Node(m.Requestor)
+			return e
 		},
 		Decode: func(d *netsim.Decoder) any {
 			return &RepairMsg{

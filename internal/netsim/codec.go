@@ -44,9 +44,12 @@ const maxDecodeElems = 1 << 16
 type MsgCodec struct {
 	// Name identifies the type in diagnostics.
 	Name string
-	// Encode appends msg's binary form. It may assume msg is of the
-	// registered type (EncodePacket dispatches on reflect.Type).
-	Encode func(e *Encoder, msg any)
+	// Encode appends msg's binary form to e and returns the extended
+	// encoder. It may assume msg is of the registered type (EncodePacket
+	// dispatches on reflect.Type). The encoder travels by value because
+	// a pointer passed through this func field would escape, costing
+	// EncodePacket a heap allocation per packet.
+	Encode func(e Encoder, msg any) Encoder
 	// Decode parses one message. Implementations must consume exactly
 	// what Encode produced and report malformed input via d.Fail (or by
 	// reading past the end, which the decoder tracks) — never panic.
@@ -291,7 +294,7 @@ func EncodePacket(buf []byte, p *Packet) ([]byte, error) {
 	if p.Mode < ModeMulticast || p.Mode > ModeSubcast {
 		return buf, fmt.Errorf("netsim: cannot encode packet with mode %v", p.Mode)
 	}
-	e := &Encoder{buf: buf}
+	e := Encoder{buf: buf}
 	e.Byte(CodecVersion)
 	var flags byte
 	if p.Session {
@@ -306,7 +309,7 @@ func EncodePacket(buf []byte, p *Packet) ([]byte, error) {
 	e.Node(p.From)
 	e.Node(p.To)
 	e.Byte(byte(t))
-	msgCodecs[t].Encode(e, p.Msg)
+	e = msgCodecs[t].Encode(e, p.Msg)
 	return e.buf, nil
 }
 

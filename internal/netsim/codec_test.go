@@ -21,11 +21,12 @@ const testWireType MsgType = 200
 func init() {
 	RegisterMessage(testWireType, (*testWireMsg)(nil), MsgCodec{
 		Name: "netsim.testWireMsg",
-		Encode: func(e *Encoder, msg any) {
+		Encode: func(e Encoder, msg any) Encoder {
 			m := msg.(*testWireMsg)
 			e.Int(m.A)
 			e.Node(m.B)
 			e.Bool(m.C)
+			return e
 		},
 		Decode: func(d *Decoder) any {
 			return &testWireMsg{A: d.Int(), B: d.Node(), C: d.Bool()}

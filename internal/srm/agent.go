@@ -992,8 +992,10 @@ func (a *Agent) onSession(now sim.Time, m *SessionMsg) {
 	// and therefore the run fingerprint — nondeterministic as soon as a
 	// session message advertises two or more sources. (The wire mode's
 	// replay oracle turned this sim-only latent assumption into a
-	// hard requirement.)
-	for _, src := range sortedNodeKeys(m.Highest) {
+	// hard requirement.) buf keeps the sort off the heap for messages
+	// advertising up to eight sources.
+	var buf [8]topology.NodeID
+	for _, src := range appendSortedNodeKeys(buf[:0], m.Highest) {
 		highest := m.Highest[src]
 		if highest < 0 {
 			continue

@@ -22,6 +22,7 @@ type eventLog struct {
 
 type event struct {
 	host  topology.NodeID
+	src   topology.NodeID
 	seq   int
 	at    sim.Time
 	round int
@@ -30,13 +31,13 @@ type event struct {
 }
 
 func (l *eventLog) LossDetected(h, source topology.NodeID, seq int, at sim.Time) {
-	l.detections = append(l.detections, event{host: h, seq: seq, at: at})
+	l.detections = append(l.detections, event{host: h, src: source, seq: seq, at: at})
 }
 func (l *eventLog) Recovered(h, source topology.NodeID, seq int, at sim.Time, info RecoveryInfo) {
 	l.recoveries = append(l.recoveries, event{host: h, seq: seq, at: at, info: info})
 }
 func (l *eventLog) RequestSent(h, source topology.NodeID, seq int, round int) {
-	l.requests = append(l.requests, event{host: h, seq: seq, round: round})
+	l.requests = append(l.requests, event{host: h, src: source, seq: seq, round: round})
 }
 func (l *eventLog) ExpRequestSent(h, source topology.NodeID, seq int) {
 	l.expReqs = append(l.expReqs, event{host: h, seq: seq})
@@ -69,7 +70,7 @@ type fixture struct {
 
 // newFixture builds agents (source + receivers) over the given tree with
 // distances primed from the topology, sessions off.
-func newFixture(t *testing.T, tree *topology.Tree, p Params) *fixture {
+func newFixture(t testing.TB, tree *topology.Tree, p Params) *fixture {
 	t.Helper()
 	eng := sim.NewEngine()
 	net := netsim.MustNew(eng, tree, netsim.DefaultConfig())

@@ -80,6 +80,7 @@ func (e *echoState) echoes(now sim.Time) map[topology.NodeID]Echo {
 		return nil
 	}
 	out := make(map[topology.NodeID]Echo, len(e.lastFrom))
+	// order-insensitive: builds a map; encodeSession sorts its keys.
 	for peer, entry := range e.lastFrom {
 		out[peer] = Echo{
 			PeerSentAt: entry.peerSentAt,

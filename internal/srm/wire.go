@@ -1,7 +1,7 @@
 package srm
 
 import (
-	"sort"
+	"slices"
 
 	"cesrm/internal/netsim"
 	"cesrm/internal/topology"
@@ -23,10 +23,11 @@ const (
 func init() {
 	netsim.RegisterMessage(WireData, (*DataMsg)(nil), netsim.MsgCodec{
 		Name: "srm.DataMsg",
-		Encode: func(e *netsim.Encoder, msg any) {
+		Encode: func(e netsim.Encoder, msg any) netsim.Encoder {
 			m := msg.(*DataMsg)
 			e.Node(m.Source)
 			e.Int(m.Seq)
+			return e
 		},
 		Decode: func(d *netsim.Decoder) any {
 			return &DataMsg{Source: d.Node(), Seq: d.Int()}
@@ -39,7 +40,7 @@ func init() {
 	})
 	netsim.RegisterMessage(WireRequest, (*RequestMsg)(nil), netsim.MsgCodec{
 		Name: "srm.RequestMsg",
-		Encode: func(e *netsim.Encoder, msg any) {
+		Encode: func(e netsim.Encoder, msg any) netsim.Encoder {
 			m := msg.(*RequestMsg)
 			e.Node(m.Source)
 			e.Int(m.Seq)
@@ -47,6 +48,7 @@ func init() {
 			e.Duration(m.ReqDistToSource)
 			e.Bool(m.Expedited)
 			e.Node(m.TurningPoint)
+			return e
 		},
 		Decode: func(d *netsim.Decoder) any {
 			return &RequestMsg{
@@ -61,7 +63,7 @@ func init() {
 	})
 	netsim.RegisterMessage(WireReply, (*ReplyMsg)(nil), netsim.MsgCodec{
 		Name: "srm.ReplyMsg",
-		Encode: func(e *netsim.Encoder, msg any) {
+		Encode: func(e netsim.Encoder, msg any) netsim.Encoder {
 			m := msg.(*ReplyMsg)
 			e.Node(m.Source)
 			e.Int(m.Seq)
@@ -70,6 +72,7 @@ func init() {
 			e.Duration(m.ReqDistToSource)
 			e.Duration(m.ReplierDistToRequestor)
 			e.Bool(m.Expedited)
+			return e
 		},
 		Decode: func(d *netsim.Decoder) any {
 			return &ReplyMsg{
@@ -90,22 +93,24 @@ func init() {
 // the wire mode's conformance oracle relies on. A nil map encodes as
 // length zero; decode returns nil for length zero, so decode∘encode is
 // idempotent even though encode(nil) == encode(empty).
-func encodeSession(e *netsim.Encoder, msg any) {
+func encodeSession(e netsim.Encoder, msg any) netsim.Encoder {
 	m := msg.(*SessionMsg)
 	e.Node(m.From)
 	e.Time(m.SentAt)
+	var buf [8]topology.NodeID
 	e.Uvarint(uint64(len(m.Highest)))
-	for _, k := range sortedNodeKeys(m.Highest) {
+	for _, k := range appendSortedNodeKeys(buf[:0], m.Highest) {
 		e.Node(k)
 		e.Int(m.Highest[k])
 	}
 	e.Uvarint(uint64(len(m.Echoes)))
-	for _, k := range sortedNodeKeys(m.Echoes) {
+	for _, k := range appendSortedNodeKeys(buf[:0], m.Echoes) {
 		e.Node(k)
 		echo := m.Echoes[k]
 		e.Time(echo.PeerSentAt)
 		e.Duration(echo.HeldFor)
 	}
+	return e
 }
 
 func decodeSession(d *netsim.Decoder) any {
@@ -139,12 +144,16 @@ func decodeSession(d *netsim.Decoder) any {
 	return m
 }
 
-// sortedNodeKeys returns m's keys in ascending order.
-func sortedNodeKeys[V any](m map[topology.NodeID]V) []topology.NodeID {
-	keys := make([]topology.NodeID, 0, len(m))
+// appendSortedNodeKeys appends m's keys to dst in ascending order and
+// returns the extended slice. Callers pass a stack array's empty slice
+// (buf[:0]) so that a message advertising up to len(buf) keys — the
+// common one-source case included — sorts without heap allocation.
+func appendSortedNodeKeys[V any](dst []topology.NodeID, m map[topology.NodeID]V) []topology.NodeID {
+	n := len(dst)
+	// order-insensitive: the appended keys are sorted before use.
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+	slices.Sort(dst[n:])
+	return dst
 }
