@@ -1,14 +1,14 @@
 // Command benchdiff compares two cesrm-bench -json snapshots — typically
-// a freshly generated one against a committed BENCH_*.json — and fails
+// a freshly generated one against the committed BENCH.json — and fails
 // (exit 1) when the fresh run regresses.
 //
 // Usage:
 //
-//	benchdiff -committed BENCH_scale1_stream.json -fresh bench-snapshot.json \
+//	benchdiff -committed BENCH.json -fresh bench-snapshot.json \
 //	          [-scale 0.01] [-max-regression-pct 25] [-max-mem-regression-pct 25] \
 //	          [-ignore-fingerprints]
 //
-// Four gates:
+// Five gates:
 //
 //  1. Behavior: every trace present in both snapshots at the compared
 //     scale must carry identical SRM and CESRM fingerprints. A mismatch
@@ -20,10 +20,10 @@
 //     is machine-dependent, so the gate is deliberately loose; it
 //     catches order-of-magnitude scheduler regressions, not percent
 //     drift. The gate only fires when both snapshots were taken under
-//     the same dispatch config (shards and GOMAXPROCS); otherwise the
-//     wall times measure different executions and the comparison is
-//     reported but not gated. Snapshots predating those fields read as
-//     serial on an unrecorded core count and keep gating.
+//     the same GOMAXPROCS; otherwise the wall times measure different
+//     executions and the comparison is reported but not gated.
+//     Snapshots predating the field read as an unrecorded core count and
+//     keep gating.
 //  3. Memory: the fresh peak live heap must not exceed the committed
 //     one by more than -max-mem-regression-pct percent. Peak heap is
 //     far more stable than wall time (allocation volume is
@@ -37,14 +37,21 @@
 //     counts are exact and nearly deterministic for a fixed seed and
 //     binary, so a tight budget catches an allocation regression that
 //     wall time would hide in its noise — scale-1 mallocs once doubled
-//     without any other gate noticing. Like the heap gate it is skipped
-//     when either snapshot lacks the field or the dispatch configs
-//     differ (sharded dispatch allocates op logs serial runs do not).
+//     without any other gate noticing.
+//  5. Allocated bytes: the fresh suite_alloc_bytes must not exceed the
+//     committed total by more than maxAllocBytesRegressionPct (5%,
+//     fixed), for the same reason: a change can hold the malloc count
+//     while allocating larger objects.
+//
+// The heap and allocation gates apply at any GOMAXPROCS (dispatch is
+// serial, so the core count does not change what a run allocates); each
+// is skipped when either snapshot lacks its field.
 //
 // -scale selects which swept scale entry to compare; 0 (the default)
 // picks the smallest scale present in both files, which for CI is the
 // smoke scale. Snapshots in the pre-sweep single-scale schema (top-level
-// scale/perf/traces, as in BENCH_baseline.json) are understood too.
+// scale/perf/traces, as written by the first cesrm-bench versions) are
+// understood too.
 package main
 
 import (
@@ -54,10 +61,14 @@ import (
 	"os"
 )
 
-// maxMallocRegressionPct is the allocation gate's fixed budget: the
-// fresh suite_mallocs may exceed the committed count by at most this
+// maxMallocRegressionPct and maxAllocBytesRegressionPct are the
+// allocation gates' fixed budgets: the fresh suite_mallocs and
+// suite_alloc_bytes may exceed the committed values by at most this
 // percentage.
-const maxMallocRegressionPct = 5
+const (
+	maxMallocRegressionPct     = 5
+	maxAllocBytesRegressionPct = 5
+)
 
 // snapshot covers both cesrm-bench schemas: the current multi-scale one
 // (runs) and the legacy single-scale one (top-level scale/perf/traces).
@@ -79,9 +90,9 @@ type diffRun struct {
 type diffPerf struct {
 	ElapsedNS     int64  `json:"suite_elapsed_ns"`
 	Mallocs       uint64 `json:"suite_mallocs"`
+	AllocBytes    uint64 `json:"suite_alloc_bytes"`
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
 	Parallel      int    `json:"parallel"`
-	Shards        int    `json:"shards"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
 	Repeats       int    `json:"repeats"`
 	PlanHits      uint64 `json:"plan_hits"`
@@ -93,13 +104,8 @@ type diffPerf struct {
 }
 
 // config renders the execution shape behind a perf block. Snapshots
-// predating the sharded-dispatch schema carry zeros, which mean serial
-// dispatch on an unrecorded core count.
+// predating the gomaxprocs field read as an unrecorded core count.
 func (p diffPerf) config() string {
-	shards := p.Shards
-	if shards == 0 {
-		shards = 1
-	}
 	procs := "?"
 	if p.GOMAXPROCS > 0 {
 		procs = fmt.Sprint(p.GOMAXPROCS)
@@ -108,24 +114,14 @@ func (p diffPerf) config() string {
 	if reps == 0 {
 		reps = 1
 	}
-	return fmt.Sprintf("shards=%d procs=%s repeats=%d", shards, procs, reps)
+	return fmt.Sprintf("procs=%s repeats=%d", procs, reps)
 }
 
 // comparableWall reports whether two perf blocks were taken under the
-// same dispatch mode and core count, i.e. whether their wall times
-// measure the same thing. Unrecorded (zero) GOMAXPROCS matches anything
-// so pre-schema snapshots keep gating.
+// same core count, i.e. whether their wall times measure the same
+// thing. Unrecorded (zero) GOMAXPROCS matches anything so pre-schema
+// snapshots keep gating.
 func comparableWall(a, b diffPerf) bool {
-	sa, sb := a.Shards, b.Shards
-	if sa == 0 {
-		sa = 1
-	}
-	if sb == 0 {
-		sb = 1
-	}
-	if sa != sb {
-		return false
-	}
 	return a.GOMAXPROCS == 0 || b.GOMAXPROCS == 0 || a.GOMAXPROCS == b.GOMAXPROCS
 }
 
@@ -218,8 +214,8 @@ func diff(committed, fresh *diffRun, maxRegressionPct, maxMemRegressionPct float
 		pct := 100 * (float64(fresh.Perf.ElapsedNS) - float64(committed.Perf.ElapsedNS)) /
 			float64(committed.Perf.ElapsedNS)
 		if !comparableWall(committed.Perf, fresh.Perf) {
-			// Different dispatch mode or core count: the wall times measure
-			// different executions, so the regression gate would be noise.
+			// Different core counts: the wall times measure different
+			// executions, so the regression gate would be noise.
 			fmt.Printf("wall time: committed %.3fs (%s), fresh %.3fs (%s) — configs differ, gate skipped\n",
 				float64(committed.Perf.ElapsedNS)/1e9, committed.Perf.config(),
 				float64(fresh.Perf.ElapsedNS)/1e9, fresh.Perf.config())
@@ -237,14 +233,7 @@ func diff(committed, fresh *diffRun, maxRegressionPct, maxMemRegressionPct float
 				pct, maxRegressionPct, fresh.Perf.config(), verdict)
 		}
 	}
-	if committed.Perf.PeakHeapBytes > 0 && fresh.Perf.PeakHeapBytes > 0 &&
-		!comparableWall(committed.Perf, fresh.Perf) {
-		// Sharded dispatch legitimately holds more live state (per-shard
-		// op logs and queues), so cross-config peak heap is informational.
-		fmt.Printf("peak heap: committed %.1f MB (%s), fresh %.1f MB (%s) — configs differ, gate skipped\n",
-			float64(committed.Perf.PeakHeapBytes)/1e6, committed.Perf.config(),
-			float64(fresh.Perf.PeakHeapBytes)/1e6, fresh.Perf.config())
-	} else if committed.Perf.PeakHeapBytes > 0 && fresh.Perf.PeakHeapBytes > 0 {
+	if committed.Perf.PeakHeapBytes > 0 && fresh.Perf.PeakHeapBytes > 0 {
 		pct := 100 * (float64(fresh.Perf.PeakHeapBytes) - float64(committed.Perf.PeakHeapBytes)) /
 			float64(committed.Perf.PeakHeapBytes)
 		verdict := "ok"
@@ -259,23 +248,8 @@ func diff(committed, fresh *diffRun, maxRegressionPct, maxMemRegressionPct float
 			float64(committed.Perf.PeakHeapBytes)/1e6, float64(fresh.Perf.PeakHeapBytes)/1e6,
 			pct, maxMemRegressionPct, verdict)
 	}
-	if c, f := committed.Perf.Mallocs, fresh.Perf.Mallocs; c > 0 && f > 0 {
-		if !comparableWall(committed.Perf, fresh.Perf) {
-			fmt.Printf("mallocs: committed %d (%s), fresh %d (%s) — configs differ, gate skipped\n",
-				c, committed.Perf.config(), f, fresh.Perf.config())
-		} else {
-			pct := 100 * (float64(f) - float64(c)) / float64(c)
-			verdict := "ok"
-			if pct > maxMallocRegressionPct {
-				verdict = "FAIL"
-				fails = append(fails, fmt.Sprintf(
-					"suite mallocs regressed %.1f%% (%d -> %d), budget %d%%",
-					pct, c, f, maxMallocRegressionPct))
-			}
-			fmt.Printf("mallocs: committed %d, fresh %d (%+.1f%%, budget +%d%%) %s\n",
-				c, f, pct, maxMallocRegressionPct, verdict)
-		}
-	}
+	fails = countGate(fails, "suite mallocs", committed.Perf.Mallocs, fresh.Perf.Mallocs, maxMallocRegressionPct)
+	fails = countGate(fails, "suite alloc bytes", committed.Perf.AllocBytes, fresh.Perf.AllocBytes, maxAllocBytesRegressionPct)
 	// Flood plan cache counters are deterministic (a pure function of the
 	// run configuration), so they are reported rather than gated: a hit
 	// rate collapsing across revisions is a perf smell the wall-time gate
@@ -296,6 +270,26 @@ func diff(committed, fresh *diffRun, maxRegressionPct, maxMemRegressionPct float
 	return fails
 }
 
+// countGate gates an exact allocation counter: fresh may exceed
+// committed by at most budgetPct percent. It is skipped when either
+// snapshot lacks the counter (zero). It returns fails, extended on a
+// regression.
+func countGate(fails []string, name string, committed, fresh uint64, budgetPct int) []string {
+	if committed == 0 || fresh == 0 {
+		return fails
+	}
+	pct := 100 * (float64(fresh) - float64(committed)) / float64(committed)
+	verdict := "ok"
+	if pct > float64(budgetPct) {
+		verdict = "FAIL"
+		fails = append(fails, fmt.Sprintf("%s regressed %.1f%% (%d -> %d), budget %d%%",
+			name, pct, committed, fresh, budgetPct))
+	}
+	fmt.Printf("%s: committed %d, fresh %d (%+.1f%%, budget +%d%%) %s\n",
+		name, committed, fresh, pct, budgetPct, verdict)
+	return fails
+}
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
@@ -305,7 +299,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	committedPath := fs.String("committed", "", "committed BENCH_*.json snapshot (required)")
+	committedPath := fs.String("committed", "", "committed snapshot, e.g. BENCH.json (required)")
 	freshPath := fs.String("fresh", "", "freshly generated cesrm-bench -json snapshot (required)")
 	scale := fs.Float64("scale", 0, "scale entry to compare (0 = smallest scale present in both)")
 	maxRegression := fs.Float64("max-regression-pct", 25, "max tolerated suite wall-time increase, percent")

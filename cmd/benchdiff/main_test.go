@@ -85,41 +85,25 @@ func TestFailOnFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestWallGateSkippedAcrossDispatchConfigs pins that wall time is only
+// gated between snapshots taken at the same GOMAXPROCS.
 func TestWallGateSkippedAcrossDispatchConfigs(t *testing.T) {
-	c := write(t, "committed.json", committedBody) // no shards/gomaxprocs: serial, unknown cores
-	sharded := `{
-  "seed": 1, "fingerprint_version": "v1",
-  "runs": [{
-    "scale": 0.01,
-    "perf": {"suite_elapsed_ns": 9000000000, "parallel": 1, "shards": 8, "gomaxprocs": 8, "repeats": 3},
-    "traces": [
-      {"index": 1, "name": "A", "srm_fingerprint": "v1:aa", "cesrm_fingerprint": "v1:bb", "wall_ns": 600},
-      {"index": 2, "name": "B", "srm_fingerprint": "v1:cc", "cesrm_fingerprint": "v1:dd", "wall_ns": 600}
-    ]
-  }]
-}`
-	f := write(t, "fresh.json", sharded)
-	// 9x the committed wall time, but under shards=8 vs serial: the wall
-	// gate must not fire because the runs measure different executions.
+	c := write(t, "committed.json", perfBody(1_000_000_000, 0, 0, 2))
+	f := write(t, "fresh.json", perfBody(9_000_000_000, 0, 0, 8))
+	// 9x the committed wall time, but on 8 cores vs 2: the wall gate must
+	// not fire because the runs measure different executions.
 	if err := run([]string{"-committed", c, "-fresh", f}); err != nil {
 		t.Fatalf("cross-config wall comparison gated: %v", err)
 	}
-	// Same sharded config on both sides gates again.
-	c2 := write(t, "committed2.json", sharded)
-	slow := `{
-  "seed": 1, "fingerprint_version": "v1",
-  "runs": [{
-    "scale": 0.01,
-    "perf": {"suite_elapsed_ns": 18000000000, "parallel": 1, "shards": 8, "gomaxprocs": 8, "repeats": 3},
-    "traces": [
-      {"index": 1, "name": "A", "srm_fingerprint": "v1:aa", "cesrm_fingerprint": "v1:bb", "wall_ns": 600},
-      {"index": 2, "name": "B", "srm_fingerprint": "v1:cc", "cesrm_fingerprint": "v1:dd", "wall_ns": 600}
-    ]
-  }]
-}`
-	f2 := write(t, "fresh2.json", slow)
-	if err := run([]string{"-committed", c2, "-fresh", f2}); err == nil {
-		t.Fatal("100% regression under matching sharded configs passed")
+	// The same core count on both sides gates again.
+	f2 := write(t, "fresh2.json", perfBody(2_000_000_000, 0, 0, 2))
+	if err := run([]string{"-committed", c, "-fresh", f2}); err == nil {
+		t.Fatal("100% regression at matching GOMAXPROCS passed")
+	}
+	// An unrecorded core count matches anything.
+	legacy := write(t, "legacy.json", perfBody(1_000_000_000, 0, 0, 0))
+	if err := run([]string{"-committed", legacy, "-fresh", f}); err == nil {
+		t.Fatal("9x regression against a snapshot without gomaxprocs passed")
 	}
 }
 
@@ -160,14 +144,16 @@ func TestRejectsDisjointScalesAndSeeds(t *testing.T) {
 	}
 }
 
-// mallocBody is a one-trace snapshot whose perf block carries the given
-// suite_mallocs under the given shard count (0 = serial, unrecorded).
-func mallocBody(mallocs int64, shards int64) string {
+// perfBody is a one-trace snapshot whose perf block carries the given
+// wall time, suite_mallocs, suite_alloc_bytes and gomaxprocs (0 leaves
+// a counter unrecorded).
+func perfBody(elapsed, mallocs, allocBytes, procs int64) string {
 	return `{
   "seed": 1, "fingerprint_version": "v1",
   "runs": [{
     "scale": 0.01,
-    "perf": {"suite_elapsed_ns": 1000000000, "suite_mallocs": ` + itoa(mallocs) + `, "parallel": 1, "shards": ` + itoa(shards) + `},
+    "perf": {"suite_elapsed_ns": ` + itoa(elapsed) + `, "suite_mallocs": ` + itoa(mallocs) +
+		`, "suite_alloc_bytes": ` + itoa(allocBytes) + `, "parallel": 1, "gomaxprocs": ` + itoa(procs) + `},
     "traces": [
       {"index": 1, "name": "A", "srm_fingerprint": "v1:aa", "cesrm_fingerprint": "v1:bb"}
     ]
@@ -175,22 +161,28 @@ func mallocBody(mallocs int64, shards int64) string {
 }`
 }
 
+// mallocBody is a one-trace snapshot carrying only suite_mallocs.
+func mallocBody(mallocs int64) string { return perfBody(1_000_000_000, mallocs, 0, 0) }
+
+// allocBody is a one-trace snapshot carrying only suite_alloc_bytes.
+func allocBody(allocBytes int64) string { return perfBody(1_000_000_000, 0, allocBytes, 0) }
+
 func TestMallocGatePassesWithinBudget(t *testing.T) {
-	c := write(t, "committed.json", mallocBody(1_000_000, 0))
-	f := write(t, "fresh.json", mallocBody(1_049_000, 0)) // +4.9% < 5%
+	c := write(t, "committed.json", mallocBody(1_000_000))
+	f := write(t, "fresh.json", mallocBody(1_049_000)) // +4.9% < 5%
 	if err := run([]string{"-committed", c, "-fresh", f}); err != nil {
 		t.Fatalf("within-budget malloc comparison failed: %v", err)
 	}
 	// Fewer allocations always pass.
-	f2 := write(t, "fresh2.json", mallocBody(500_000, 0))
+	f2 := write(t, "fresh2.json", mallocBody(500_000))
 	if err := run([]string{"-committed", c, "-fresh", f2}); err != nil {
 		t.Fatalf("malloc improvement failed: %v", err)
 	}
 }
 
 func TestMallocGateFailsOverBudget(t *testing.T) {
-	c := write(t, "committed.json", mallocBody(1_000_000, 0))
-	f := write(t, "fresh.json", mallocBody(1_051_000, 0)) // +5.1% > 5%
+	c := write(t, "committed.json", mallocBody(1_000_000))
+	f := write(t, "fresh.json", mallocBody(1_051_000)) // +5.1% > 5%
 	if err := run([]string{"-committed", c, "-fresh", f}); err == nil {
 		t.Fatal("5.1% malloc regression passed the 5% gate")
 	}
@@ -201,22 +193,63 @@ func TestMallocGateFailsOverBudget(t *testing.T) {
 	}
 }
 
-func TestMallocGateSkippedAcrossConfigsOrMissingField(t *testing.T) {
-	c := write(t, "committed.json", mallocBody(1_000_000, 0))
-	// Doubled mallocs under shards=8 vs serial measure different
-	// executions: reported, not gated.
-	sharded := write(t, "sharded.json", mallocBody(2_000_000, 8))
-	if err := run([]string{"-committed", c, "-fresh", sharded}); err != nil {
-		t.Fatalf("cross-config malloc comparison gated: %v", err)
+func TestAllocBytesGatePassesWithinBudget(t *testing.T) {
+	c := write(t, "committed.json", allocBody(1_000_000_000))
+	f := write(t, "fresh.json", allocBody(1_049_000_000)) // +4.9% < 5%
+	if err := run([]string{"-committed", c, "-fresh", f}); err != nil {
+		t.Fatalf("within-budget alloc-bytes comparison failed: %v", err)
 	}
-	// A snapshot predating suite_mallocs skips the gate.
+	f2 := write(t, "fresh2.json", allocBody(500_000_000))
+	if err := run([]string{"-committed", c, "-fresh", f2}); err != nil {
+		t.Fatalf("alloc-bytes improvement failed: %v", err)
+	}
+}
+
+func TestAllocBytesGateFailsOverBudget(t *testing.T) {
+	c := write(t, "committed.json", allocBody(1_000_000_000))
+	f := write(t, "fresh.json", allocBody(1_051_000_000)) // +5.1% > 5%
+	if err := run([]string{"-committed", c, "-fresh", f}); err == nil {
+		t.Fatal("5.1% alloc-bytes regression passed the 5% gate")
+	}
+	if err := run([]string{"-committed", c, "-fresh", f,
+		"-max-regression-pct", "10000", "-max-mem-regression-pct", "10000"}); err == nil {
+		t.Fatal("alloc-bytes gate loosened by the wall/heap budget flags")
+	}
+}
+
+// TestAllocationGatesSkipMissingField pins that a snapshot predating a
+// counter skips that counter's gate without disabling the other.
+func TestAllocationGatesSkipMissingField(t *testing.T) {
+	doubled := write(t, "doubled.json", perfBody(1_000_000_000, 2_000_000, 2_000_000_000, 0))
 	legacy := write(t, "legacy.json", committedBody)
-	if err := run([]string{"-committed", legacy, "-fresh", sharded}); err != nil {
-		t.Fatalf("malloc gate fired against a snapshot without suite_mallocs: %v", err)
+	if err := run([]string{"-committed", legacy, "-fresh", doubled}); err != nil {
+		t.Fatalf("allocation gates fired against a snapshot without the counters: %v", err)
 	}
-	// Matching sharded configs gate again.
-	c8 := write(t, "committed8.json", mallocBody(1_000_000, 8))
-	if err := run([]string{"-committed", c8, "-fresh", sharded}); err == nil {
-		t.Fatal("100% malloc regression under matching sharded configs passed")
+	mallocsOnly := write(t, "mallocs.json", mallocBody(1_000_000))
+	if err := run([]string{"-committed", mallocsOnly, "-fresh", doubled}); err == nil {
+		t.Fatal("doubled mallocs passed when only alloc bytes were unrecorded")
+	}
+	bytesOnly := write(t, "bytes.json", allocBody(1_000_000_000))
+	if err := run([]string{"-committed", bytesOnly, "-fresh", doubled}); err == nil {
+		t.Fatal("doubled alloc bytes passed when only mallocs were unrecorded")
+	}
+}
+
+// TestAllocationGatesApplyAcrossCoreCounts pins that dispatch is serial:
+// what a run allocates does not depend on GOMAXPROCS, so unlike wall
+// time the allocation gates fire across differing core counts.
+func TestAllocationGatesApplyAcrossCoreCounts(t *testing.T) {
+	c := write(t, "committed.json", perfBody(1_000_000_000, 1_000_000, 1_000_000_000, 2))
+	same := write(t, "same.json", perfBody(1_000_000_000, 1_000_000, 1_000_000_000, 8))
+	if err := run([]string{"-committed", c, "-fresh", same}); err != nil {
+		t.Fatalf("equal counters across core counts failed: %v", err)
+	}
+	mallocs := write(t, "mallocs.json", perfBody(1_000_000_000, 2_000_000, 1_000_000_000, 8))
+	if err := run([]string{"-committed", c, "-fresh", mallocs}); err == nil {
+		t.Fatal("doubled mallocs on another core count passed")
+	}
+	bytes := write(t, "bytes.json", perfBody(1_000_000_000, 1_000_000, 2_000_000_000, 8))
+	if err := run([]string{"-committed", c, "-fresh", bytes}); err == nil {
+		t.Fatal("doubled alloc bytes on another core count passed")
 	}
 }

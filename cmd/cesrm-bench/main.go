@@ -82,17 +82,15 @@ type benchRunJSON struct {
 // With Repeats > 1 the suite pass runs that many times: ElapsedNS is
 // the median pass (single-shot smoke runs are far too noisy to gate
 // tightly), PeakHeapBytes the maximum, and the allocation counters come
-// from the first pass. Shards records the intra-run dispatch mode
-// (0/1 = serial) and GOMAXPROCS the cores the process could use —
-// wall-time comparisons across snapshots are only meaningful between
-// matching values.
+// from the first pass. GOMAXPROCS records the cores the process could
+// use — wall-time comparisons across snapshots are only meaningful
+// between matching values.
 type benchPerfJSON struct {
 	ElapsedNS     int64  `json:"suite_elapsed_ns"`
 	Mallocs       uint64 `json:"suite_mallocs"`
 	AllocBytes    uint64 `json:"suite_alloc_bytes"`
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
 	Parallel      int    `json:"parallel"`
-	Shards        int    `json:"shards,omitempty"`
 	GOMAXPROCS    int    `json:"gomaxprocs,omitempty"`
 	Repeats       int    `json:"repeats,omitempty"`
 	// Flood plan cache counters, summed over the pass's runs (both
@@ -406,7 +404,6 @@ func run(args []string) error {
 	policy := fs.String("policy", "most-recent", "CESRM expedition policy: most-recent or most-frequent")
 	routerAssist := fs.Bool("router-assist", false, "enable the router-assisted CESRM variant (§3.3)")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max traces simulating concurrently (1 = serial)")
-	shards := fs.Int("shards", 0, "intra-run dispatch shards per simulation (0 or 1 = serial, < 0 = GOMAXPROCS); fingerprints are identical at any value")
 	repeat := fs.Int("repeat", 1, "suite passes per scale; the JSON perf block records the median wall time")
 	planBudget := fs.Int("plan-budget", 0, "flood plan cache budget in tour entries (0 = default, < 0 = disable the cache); fingerprints are identical at any value")
 	chaosMatrix := fs.Bool("chaos-matrix", false, "run the deterministic fault-injection scenario matrix per selected trace (instead of the figure suite) and report per-scenario fingerprints")
@@ -421,10 +418,6 @@ func run(args []string) error {
 	}
 	if *repeat < 1 {
 		return fmt.Errorf("-repeat %d must be >= 1", *repeat)
-	}
-	shardsVal := *shards
-	if shardsVal < 0 {
-		shardsVal = runtime.GOMAXPROCS(0)
 	}
 
 	indices, err := selectTraces(*traces, traceNames)
@@ -479,7 +472,6 @@ func run(args []string) error {
 				Net:             netCfg,
 				CESRM:           cesrmCfg,
 				LossyRecovery:   *lossy,
-				Shards:          shardsVal,
 				FloodPlanBudget: *planBudget,
 			},
 		}
@@ -492,8 +484,8 @@ func run(args []string) error {
 			// on memory-pressured machines).
 			debug.FreeOSMemory()
 		}
-		fmt.Printf("cesrm-bench: scale=%v seed=%d delay=%v lossy=%v policy=%s router-assist=%v shards=%d\n\n",
-			scale, *seed, *delay, *lossy, *policy, *routerAssist, shardsVal)
+		fmt.Printf("cesrm-bench: scale=%v seed=%d delay=%v lossy=%v policy=%s router-assist=%v\n\n",
+			scale, *seed, *delay, *lossy, *policy, *routerAssist)
 
 		// With -repeat N the pass runs N times; the perf block records
 		// the median wall time (smoke-scale single shots are dominated
@@ -568,7 +560,6 @@ func run(args []string) error {
 			AllocBytes:    allocBytes,
 			PeakHeapBytes: peak,
 			Parallel:      *parallel,
-			Shards:        shardsVal,
 			GOMAXPROCS:    runtime.GOMAXPROCS(0),
 			Repeats:       *repeat,
 		}, results))

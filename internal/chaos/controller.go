@@ -102,6 +102,7 @@ func Install(eng *sim.Engine, net *netsim.Network, rng *sim.RNG, spec *Spec, hos
 		baseJitter: net.MaxJitter(),
 		starveHost: make(map[topology.NodeID]int),
 	}
+	// order-insensitive: the collected hosts are sorted below.
 	for id := range hosts {
 		c.order = append(c.order, id)
 	}

@@ -15,7 +15,9 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -168,6 +170,7 @@ func (s *Spec) InitialAbsent() map[topology.NodeID]bool {
 		}
 	}
 	absent := make(map[topology.NodeID]bool)
+	// order-insensitive: builds a set.
 	for h, f := range first {
 		if f.Kind == Join {
 			absent[h] = true
@@ -271,7 +274,10 @@ func (s *Spec) Validate(tree *topology.Tree) error {
 			}
 		}
 	}
-	for h, seq := range crashes {
+	// Hosts and links are checked in ascending order, so a spec with
+	// several violations always reports the same one.
+	for _, h := range sortedKeys(crashes) {
+		seq := crashes[h]
 		sort.SliceStable(seq, func(i, j int) bool { return seq[i].At < seq[j].At })
 		down := false
 		for _, f := range seq {
@@ -289,7 +295,8 @@ func (s *Spec) Validate(tree *topology.Tree) error {
 			}
 		}
 	}
-	for h, seq := range membership {
+	for _, h := range sortedKeys(membership) {
+		seq := membership[h]
 		// Mixing fail-stop and graceful-membership faults on one host
 		// would muddle both silence invariants (is the host dead or
 		// departed?); keep the two churn vocabularies disjoint per host.
@@ -315,7 +322,8 @@ func (s *Spec) Validate(tree *topology.Tree) error {
 			}
 		}
 	}
-	for l, seq := range linkEvents {
+	for _, l := range sortedKeys(linkEvents) {
+		seq := linkEvents[l]
 		sort.SliceStable(seq, func(i, j int) bool { return seq[i].At < seq[j].At })
 		down := false
 		for _, f := range seq {
@@ -337,6 +345,17 @@ func (s *Spec) Validate(tree *topology.Tree) error {
 		}
 	}
 	return nil
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	// order-insensitive: the keys are sorted before use.
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // String renders the spec in the compact text format ParseSpec accepts.

@@ -43,7 +43,7 @@ func DefaultConfig() Config {
 type Agent struct {
 	srm *srm.Agent
 	net netsim.Endpoint
-	eng sim.Sched
+	eng *sim.Engine
 	cfg Config
 
 	// caches holds one requestor/replier cache per source (§3.1).
@@ -83,7 +83,7 @@ func (e *agentExtension) ReplyObserved(now sim.Time, m *srm.ReplyMsg, everLost b
 
 // NewAgent constructs a CESRM endpoint at node id and registers it with
 // the network. obs may be nil.
-func NewAgent(eng sim.Sched, net netsim.Endpoint, rng *sim.RNG, id topology.NodeID, cfg Config, obs srm.Observer) (*Agent, error) {
+func NewAgent(eng *sim.Engine, net netsim.Endpoint, rng *sim.RNG, id topology.NodeID, cfg Config, obs srm.Observer) (*Agent, error) {
 	capacity := cfg.CacheCapacity
 	if capacity == 0 {
 		capacity = DefaultCacheCapacity
@@ -271,6 +271,8 @@ func (a *Agent) Crash() {
 // cancelPendingExp cancels and clears every pending REORDER-DELAY
 // timer.
 func (a *Agent) cancelPendingExp() {
+	// order-insensitive: cancelled timers never fire, and the order only
+	// permutes the engine's free list; dispatch is ordered by (at, seq).
 	for key, t := range a.pendingExp {
 		a.eng.Cancel(t)
 		delete(a.pendingExp, key)
@@ -319,6 +321,7 @@ func (a *Agent) Absent() bool { return a.srm.Absent() }
 // of tuples dropped.
 func (a *Agent) InvalidateHost(dead topology.NodeID) int {
 	removed := 0
+	// order-insensitive: caches are independent; the sum is order-free.
 	for _, c := range a.caches {
 		removed += c.InvalidateHost(dead)
 	}

@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cesrm/internal/topology"
@@ -105,6 +106,7 @@ func (c *Cache) Update(t Tuple) bool {
 	}
 	if len(c.entries) >= c.capacity {
 		oldest := t.Seq
+		// order-insensitive: a minimum over distinct keys.
 		for seq := range c.entries {
 			if seq < oldest {
 				oldest = seq
@@ -126,6 +128,7 @@ func (c *Cache) Update(t Tuple) bool {
 // deployment skip even the wasted expedited attempt.
 func (c *Cache) InvalidateHost(n topology.NodeID) int {
 	removed := 0
+	// order-insensitive: deletes every match; the count is order-free.
 	for seq, t := range c.entries {
 		if t.Requestor == n || t.Replier == n {
 			delete(c.entries, seq)
@@ -138,6 +141,7 @@ func (c *Cache) InvalidateHost(n topology.NodeID) int {
 // MostRecent returns the tuple of the most recent cached packet.
 func (c *Cache) MostRecent() (Tuple, bool) {
 	best := -1
+	// order-insensitive: a maximum over distinct keys.
 	for seq := range c.entries {
 		if seq > best {
 			best = seq
@@ -157,12 +161,14 @@ func (c *Cache) MostFrequentPair() (Tuple, bool) {
 		return Tuple{}, false
 	}
 	counts := make(map[Pair]int)
+	// order-insensitive: counting.
 	for _, t := range c.entries {
 		counts[t.Pair()]++
 	}
 	var best Tuple
 	bestCount := -1
 	found := false
+	// order-insensitive: (count, seq) is a total order, seqs are distinct.
 	for _, t := range c.entries {
 		n := counts[t.Pair()]
 		if n > bestCount || (n == bestCount && t.Seq > best.Seq) {
@@ -172,12 +178,14 @@ func (c *Cache) MostFrequentPair() (Tuple, bool) {
 	return best, found
 }
 
-// Tuples returns a snapshot of all cached tuples in unspecified order.
+// Tuples returns a snapshot of all cached tuples, oldest packet first.
 func (c *Cache) Tuples() []Tuple {
 	out := make([]Tuple, 0, len(c.entries))
+	// order-insensitive: the snapshot is sorted before it is returned.
 	for _, t := range c.entries {
 		out = append(out, t)
 	}
+	slices.SortFunc(out, func(a, b Tuple) int { return a.Seq - b.Seq })
 	return out
 }
 

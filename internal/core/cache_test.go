@@ -252,11 +252,17 @@ func TestPolicies(t *testing.T) {
 
 func TestTuplesSnapshot(t *testing.T) {
 	c, _ := NewCache(4)
+	c.Update(tup(3, 5, 6, time.Millisecond, time.Millisecond))
 	c.Update(tup(1, 1, 2, time.Millisecond, time.Millisecond))
 	c.Update(tup(2, 3, 4, time.Millisecond, time.Millisecond))
 	ts := c.Tuples()
-	if len(ts) != 2 {
+	if len(ts) != 3 {
 		t.Fatalf("Tuples returned %d entries", len(ts))
+	}
+	for i, tu := range ts {
+		if tu.Seq != i+1 {
+			t.Fatalf("Tuples()[%d].Seq = %d, want oldest packet first", i, tu.Seq)
+		}
 	}
 }
 

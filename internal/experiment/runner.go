@@ -145,14 +145,6 @@ type RunConfig struct {
 	// duplicate storms, starvation) keep the watermark sound and
 	// release normally.
 	ReleaseRecovered bool
-	// Shards enables sharded parallel dispatch: the topology's root
-	// subtrees are partitioned into up to Shards dispatch shards
-	// (topology.PartitionSubtrees) and same-instant events of distinct
-	// shards execute concurrently on a worker pool, with all
-	// order-sensitive side effects merged back in serial dispatch order.
-	// Fingerprints are byte-identical for every value of Shards; values
-	// below 2 (and trees whose root has one child) run serially.
-	Shards int
 	// FloodPlanBudget sizes the netsim flood plan cache in total tour
 	// entries across all cached plans. Zero (the default) enables the
 	// cache at netsim.DefaultFloodPlanEntries; positive values set the
@@ -230,10 +222,6 @@ type RunResult struct {
 	// evictions); all-zero when RunConfig.FloodPlanBudget disabled the
 	// cache.
 	PlanStats netsim.PlanStats
-	// BarrierEvents counts events the sharded dispatch loop executed as
-	// serial barriers; zero for serial runs. A proxy for how much of the
-	// event stream still serializes under sharded dispatch.
-	BarrierEvents uint64
 	// QueueDrops counts packets tail-dropped by finite link queues
 	// (congestion loss), separate from the Gilbert/trace-driven channel
 	// loss in Crossings. Zero unless a queue cap was configured.
@@ -437,19 +425,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.FloodPlanBudget >= 0 {
 		net.EnableFloodPlans(cfg.FloodPlanBudget)
 	}
-	// Sharded dispatch: partition the root subtrees, label deliveries
-	// with their receiving node's shard, and hand each host shard-local
-	// engine/network handles below. With Shards < 2 all of this is nil
-	// and the run is the plain serial path.
-	var shards []*sim.Shard
-	var shardOf []int32
-	if cfg.Shards > 1 {
-		shards = eng.EnableSharding(cfg.Shards)
-		if shards != nil {
-			shardOf = topology.PartitionSubtrees(tree, len(shards))
-			net.SetShards(shardOf)
-		}
-	}
 	rtt := func(h topology.NodeID) time.Duration {
 		return net.RTT(h, source)
 	}
@@ -546,29 +521,12 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			return nil, fmt.Errorf("experiment: adaptive timers are an SRM mechanism, not applicable to LMS")
 		}
 	}
-	// Shard-local handles, one per shard, shared by that shard's hosts.
-	// In serial runs the agents hold the engine and network directly.
-	ports := make([]netsim.Endpoint, len(shards))
-	observers := make([]srm.Observer, len(shards))
-	for i, sh := range shards {
-		ports[i] = netsim.NewPort(net, sh)
-		observers[i] = &deferredObserver{sh: sh, obs: observer}
-	}
 	for _, id := range hosts {
 		hostRNG := rootRNG.Split()
-		var hostEng sim.Sched = eng
-		var hostNet netsim.Endpoint = net
-		hostObs := srm.Observer(observer)
-		if shardOf != nil {
-			sh := shardOf[id]
-			hostEng = shards[sh]
-			hostNet = ports[sh]
-			hostObs = observers[sh]
-		}
 		var srmAgent *srm.Agent
 		switch cfg.Protocol {
 		case SRM:
-			a, err := srm.NewAgent(hostEng, hostNet, hostRNG, id, cfg.SRM, hostObs, nil)
+			a, err := srm.NewAgent(eng, net, hostRNG, id, cfg.SRM, observer, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -578,7 +536,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		case CESRM:
 			cc := cfg.CESRM
 			cc.SRM = cfg.SRM
-			a, err := core.NewAgent(hostEng, hostNet, hostRNG, id, cc, hostObs)
+			a, err := core.NewAgent(eng, net, hostRNG, id, cc, observer)
 			if err != nil {
 				return nil, err
 			}
@@ -586,7 +544,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			inspectors[id] = a.SRM()
 			srmAgent = a.SRM()
 		case LMS:
-			a, err := lms.NewAgent(hostEng, hostNet, fabric, id, cfg.LMS, hostObs)
+			a, err := lms.NewAgent(eng, net, fabric, id, cfg.LMS, observer)
 			if err != nil {
 				return nil, err
 			}
@@ -651,6 +609,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		agents[id].StartSessions()
 	}
 	crashHosts := make([]topology.NodeID, 0, len(cfg.Crashes))
+	// order-insensitive: the collected hosts are sorted below.
 	for h := range cfg.Crashes {
 		crashHosts = append(crashHosts, h)
 	}
@@ -671,23 +630,11 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	numPackets := tr.NumPackets()
 	srcAgent := agents[source]
-	// Transmit events run entirely within the source host (packet sends
-	// and timers route through its shard-local handles), so they carry
-	// the source's shard label instead of dispatching as barriers — the
-	// bulk of the formerly-serializing events in large same-instant
-	// batches. The session monitor below inspects every host and stays a
-	// barrier by design.
 	for i := 0; i < numPackets; i++ {
 		seq := i
-		at := sim.Time(cfg.Warmup + time.Duration(i)*tr.Period)
-		fn := func(sim.Time) {
+		eng.ScheduleAt(sim.Time(cfg.Warmup+time.Duration(i)*tr.Period), func(sim.Time) {
 			srcAgent.Transmit(seq)
-		}
-		if shardOf != nil {
-			eng.ScheduleAtShard(at, fn, shardOf[source])
-		} else {
-			eng.ScheduleAt(at, fn)
-		}
+		})
 	}
 
 	lastData := sim.Time(cfg.Warmup + time.Duration(numPackets-1)*tr.Period)
@@ -800,7 +747,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			RTT:                   rtt,
 			Receivers:             receivers,
 			PlanStats:             net.PlanStats(),
-			BarrierEvents:         eng.BarrierEvents(),
 			QueueDrops:            net.QueueDrops(),
 			Abandoned:             collector.TotalAbandoned(),
 			ChurnEvents:           churnEvents,
@@ -867,7 +813,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		RTT:                   rtt,
 		Receivers:             receivers,
 		PlanStats:             net.PlanStats(),
-		BarrierEvents:         eng.BarrierEvents(),
 		QueueDrops:            net.QueueDrops(),
 		Abandoned:             collector.TotalAbandoned(),
 		ChurnEvents:           churnEvents,

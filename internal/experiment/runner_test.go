@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cesrm/internal/netsim"
 	"cesrm/internal/topology"
 	"cesrm/internal/trace"
 )
@@ -23,6 +24,34 @@ func smallTrace(tb testing.TB, seed int64) *trace.Trace {
 		tb.Fatal(err)
 	}
 	return tr
+}
+
+// TestPlanCacheCounters sanity-checks the flood plan cache plumbing end
+// to end: a default run (plans enabled) reports cache activity with a
+// high hit rate, a disabled run reports none, and the fingerprints
+// match.
+func TestPlanCacheCounters(t *testing.T) {
+	tr := smallTrace(t, 99)
+	on, err := Run(RunConfig{Trace: tr, Protocol: SRM, Seed: 123})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := Run(RunConfig{Trace: tr, Protocol: SRM, Seed: 123, FloodPlanBudget: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.Fingerprint != off.Fingerprint {
+		t.Fatalf("plan cache changed the fingerprint:\n on  %s\n off %s", on.Fingerprint, off.Fingerprint)
+	}
+	if on.PlanStats.Hits == 0 || on.PlanStats.Misses == 0 {
+		t.Fatalf("plan-enabled run reported no cache activity: %+v", on.PlanStats)
+	}
+	if on.PlanStats.Hits < 10*on.PlanStats.Misses {
+		t.Errorf("plan hit rate unexpectedly low: %+v", on.PlanStats)
+	}
+	if off.PlanStats != (netsim.PlanStats{}) {
+		t.Errorf("plan-disabled run reported cache activity: %+v", off.PlanStats)
+	}
 }
 
 func TestRunSRMCompletes(t *testing.T) {

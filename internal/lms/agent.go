@@ -96,7 +96,7 @@ type pendingNAK struct {
 type Agent struct {
 	id     topology.NodeID
 	source topology.NodeID
-	eng    sim.Sched
+	eng    *sim.Engine
 	net    netsim.Endpoint
 	fabric *Fabric
 	cfg    Config
@@ -139,7 +139,7 @@ var _ netsim.Host = (*Agent)(nil)
 
 // NewAgent constructs an LMS endpoint at node id and registers it with
 // the network. obs may be nil.
-func NewAgent(eng sim.Sched, net netsim.Endpoint, fabric *Fabric, id topology.NodeID, cfg Config, obs srm.Observer) (*Agent, error) {
+func NewAgent(eng *sim.Engine, net netsim.Endpoint, fabric *Fabric, id topology.NodeID, cfg Config, obs srm.Observer) (*Agent, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -101,6 +101,8 @@ func NewRegisteredMessage(t MsgType) any {
 	if c == nil {
 		return nil
 	}
+	// order-insensitive: RegisterMessage allows one Go type per wire
+	// type, so at most one entry matches.
 	for rt, wt := range msgTypeOf {
 		if wt == t {
 			return reflect.New(rt.Elem()).Interface()

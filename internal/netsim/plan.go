@@ -6,7 +6,7 @@
 // sequence per link, and the same jitter/drop/duplicate RNG draws in the
 // same order as the DFS, so a run with plans enabled is byte-identical
 // (fingerprint and all) to one without; see topology/tour.go for the
-// order-preservation argument and DESIGN.md §14 for the full design.
+// order-preservation argument and DESIGN.md §13 for the full design.
 //
 // Plans are compiled lazily on first use and held in a size-capped LRU
 // keyed by (origin, downOnly). The cap is a total entry budget across
@@ -267,7 +267,7 @@ func (n *Network) replayPlan(pl *floodPlan, p *Packet) {
 			if grouped {
 				n.groupDeliver(e.Node, int(e.Hops))
 			} else {
-				n.scheduleDelivery(now.Add(time.Duration(e.Hops)*perHop+n.jitter()), e.Node, n.hostAt[e.Node], p)
+				n.scheduleDelivery(now.Add(time.Duration(e.Hops)*perHop+n.jitter()), n.hostAt[e.Node], p)
 			}
 		}
 		opStart := int32(0)

@@ -284,10 +284,7 @@ func (st *streamState) noteExists(seq int) {
 type Agent struct {
 	id topology.NodeID
 
-	// eng and net are interfaces so a sharded run can hand the agent its
-	// shard-local handles (sim.Shard, netsim.Port); serial runs pass the
-	// engine and network directly.
-	eng sim.Sched
+	eng *sim.Engine
 	net netsim.Endpoint
 	rng *sim.RNG
 	p   Params
@@ -331,7 +328,7 @@ var _ netsim.Host = (*Agent)(nil)
 
 // NewAgent constructs an SRM endpoint at node id. obs may be nil; ext
 // may be nil for plain SRM. The agent registers itself with the network.
-func NewAgent(eng sim.Sched, net netsim.Endpoint, rng *sim.RNG, id topology.NodeID, p Params, obs Observer, ext Extension) (*Agent, error) {
+func NewAgent(eng *sim.Engine, net netsim.Endpoint, rng *sim.RNG, id topology.NodeID, p Params, obs Observer, ext Extension) (*Agent, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

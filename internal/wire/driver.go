@@ -7,7 +7,7 @@ import (
 )
 
 // Driver slaves a deterministic sim.Engine to the wall clock. The
-// engine stays the agents' sim.Sched — timers, generations, Active()
+// engine stays the agents' scheduler — timers, generations, Active()
 // all behave exactly as in simulation — while the driver advances
 // virtual time to track elapsed wall time and folds inbound datagrams
 // into the event stream.

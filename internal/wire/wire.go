@@ -3,8 +3,8 @@
 // conformance oracle.
 //
 // The design is an adapter, not a rewrite. Agents are constructed
-// exactly as in simulation — they hold a real *sim.Engine as their
-// sim.Sched and a netsim.Endpoint for sends — but the engine's virtual
+// exactly as in simulation — they hold a real *sim.Engine and a
+// netsim.Endpoint for sends — but the engine's virtual
 // clock is slaved to the wall clock by a Driver, and the Endpoint is a
 // Network that encodes packets with the netsim wire codec and sends
 // them over UDP to the other group members. No protocol code changes.
