@@ -407,6 +407,9 @@ const (
 	ChaosJitter    = chaos.Jitter
 	ChaosDuplicate = chaos.Duplicate
 	ChaosStarve    = chaos.Starve
+	ChaosLeave     = chaos.Leave
+	ChaosJoin      = chaos.Join
+	ChaosQueueCap  = chaos.QueueCap
 )
 
 // ParseChaosSpec parses the textual fault grammar

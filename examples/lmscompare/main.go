@@ -11,12 +11,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"text/tabwriter"
 	"time"
 
-	"cesrm/internal/core"
+	"cesrm/internal/chaos"
 	"cesrm/internal/experiment"
-	"cesrm/internal/topology"
 	"cesrm/internal/trace"
 )
 
@@ -35,55 +33,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	losses := float64(tr.TotalLosses())
 
-	variants := []struct {
-		label string
-		cfg   experiment.RunConfig
-	}{
-		{"SRM", experiment.RunConfig{Protocol: experiment.SRM}},
-		{"CESRM", experiment.RunConfig{Protocol: experiment.CESRM}},
-		{"CESRM-RA", experiment.RunConfig{Protocol: experiment.CESRM, CESRM: core.Config{RouterAssist: true}}},
-		{"LMS", experiment.RunConfig{Protocol: experiment.LMS, LMSRefresh: *refresh}},
-	}
-
-	run := func(label string, cfg experiment.RunConfig, crashes map[topology.NodeID]time.Duration) (mean, p99, cost float64) {
-		cfg.Trace = tr
-		cfg.Seed = *seed
-		cfg.Crashes = crashes
-		res, err := experiment.Run(cfg)
+	compare := func(spec *chaos.Spec) {
+		rows, err := experiment.RunComparison(tr, experiment.ComparisonConfig{Seed: *seed, LMSRefresh: *refresh, Chaos: spec})
 		if err != nil {
-			log.Fatalf("%s: %v", label, err)
+			log.Fatal(err)
 		}
-		return res.Collector.OverallNormalized(res.RTT).MeanRTT,
-			res.Collector.NormalizedPercentile(res.RTT, 0.99),
-			float64(res.Crossings.RecoveryTotal()) / losses
+		experiment.RenderComparisonRows(os.Stdout, rows)
 	}
 
 	fmt.Printf("=== %s at scale %v: %d packets, %d losses ===\n", entry.Name, *scale, tr.NumPackets(), tr.TotalLosses())
 
 	fmt.Println("\nfault-free (latency in RTT units, cost in link crossings per loss):")
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "  scheme\tmean\tp99\tcost/loss")
-	for _, v := range variants {
-		mean, p99, cost := run(v.label, v.cfg, nil)
-		fmt.Fprintf(tw, "  %s\t%.2f\t%.1f\t%.1f\n", v.label, mean, p99, cost)
-	}
-	tw.Flush()
+	compare(nil)
 
 	// Crash the receiver LMS designates as replier (the lowest-ID
 	// receiver) a third of the way into the transmission.
 	victim := tr.Tree.Receivers()[0]
 	crashAt := 3*time.Second + tr.Duration()/3
-	crashes := map[topology.NodeID]time.Duration{victim: crashAt}
 	fmt.Printf("\nwith designated replier (host %d) crashing at %v (LMS router state stale for %v):\n",
 		victim, crashAt.Round(time.Second), *refresh)
-	tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "  scheme\tmean\tp99\tcost/loss")
-	for _, v := range variants {
-		mean, p99, cost := run(v.label, v.cfg, crashes)
-		fmt.Fprintf(tw, "  %s\t%.2f\t%.1f\t%.1f\n", v.label, mean, p99, cost)
-	}
-	tw.Flush()
+	compare(&chaos.Spec{Name: "replier-crash", Faults: []chaos.Fault{{Kind: chaos.Crash, At: crashAt, Host: victim}}})
 	fmt.Println("\n(LMS's p99 blows up by the staleness window; CESRM's fallback keeps its tail flat — §3.3)")
 }

@@ -11,12 +11,19 @@ import (
 	"cesrm/internal/topology"
 )
 
-// Host is the lifecycle surface the controller drives. All protocol
-// endpoints (srm.Agent, core.Agent, lms.Agent) implement it.
+// Host is the lifecycle surface the controller drives: fail-stop
+// Crash/Restart, and graceful Leave/Join. Unlike a crash, a leave
+// models an announced departure: the host goes silent without amnesia,
+// and a joining host opens its reliability window at the first
+// post-join data rather than seq 0. All protocol endpoints (srm.Agent,
+// core.Agent, lms.Agent) implement it.
 type Host interface {
 	Crash()
 	Restart()
 	Crashed() bool
+	Leave()
+	Join()
+	Absent() bool
 }
 
 // Invalidator is the optional cache-invalidation surface a Purge crash
@@ -24,17 +31,6 @@ type Host interface {
 // core.Agent).
 type Invalidator interface {
 	InvalidateHost(dead topology.NodeID) int
-}
-
-// Member is the graceful-membership surface Leave/Join faults drive.
-// Unlike Crash/Restart it models announced departures: a leaving host
-// goes silent without amnesia, and a joining host opens its reliability
-// window at the first post-join data rather than seq 0. All protocol
-// endpoints implement it.
-type Member interface {
-	Leave()
-	Join()
-	Absent() bool
 }
 
 // Probe observes lifecycle faults as they fire; the stats validator
@@ -71,8 +67,9 @@ type Controller struct {
 // Install validates spec against the network's topology and schedules
 // every fault. rng drives duplicate-injection decisions and must be
 // dedicated to the controller (sharing it with protocol agents would
-// entangle their random streams). hosts maps every crashable node to
-// its endpoint; probe may be nil. The engine must still be at time
+// entangle their random streams). hosts maps every node that crash,
+// restart, leave or join faults may target to its endpoint; probe may
+// be nil. The engine must still be at time
 // zero.
 func Install(eng *sim.Engine, net *netsim.Network, rng *sim.RNG, spec *Spec, hosts map[topology.NodeID]Host, probe Probe) (*Controller, error) {
 	if err := spec.Validate(net.Tree()); err != nil {
@@ -80,16 +77,9 @@ func Install(eng *sim.Engine, net *netsim.Network, rng *sim.RNG, spec *Spec, hos
 	}
 	for _, f := range spec.Faults {
 		switch f.Kind {
-		case Crash, Restart:
+		case Crash, Restart, Leave, Join:
 			if hosts[f.Host] == nil {
 				return nil, fmt.Errorf("chaos: no endpoint for host %d", f.Host)
-			}
-		case Leave, Join:
-			if hosts[f.Host] == nil {
-				return nil, fmt.Errorf("chaos: no endpoint for host %d", f.Host)
-			}
-			if _, ok := hosts[f.Host].(Member); !ok {
-				return nil, fmt.Errorf("chaos: endpoint for host %d does not support membership", f.Host)
 			}
 		}
 	}
@@ -179,7 +169,7 @@ func (c *Controller) schedule(f Fault) {
 	case Leave:
 		host := f.Host
 		c.at(f.At, func(now sim.Time) {
-			c.hosts[host].(Member).Leave()
+			c.hosts[host].Leave()
 			if c.probe != nil {
 				c.probe.NoteLeave(host, now)
 			}
@@ -187,10 +177,7 @@ func (c *Controller) schedule(f Fault) {
 			// advert always reaches the group, so every live member
 			// drops cached pairs naming the leaver (no Purge opt-in).
 			for _, id := range c.order {
-				if id == host || c.hosts[id].Crashed() {
-					continue
-				}
-				if m, ok := c.hosts[id].(Member); ok && m.Absent() {
+				if id == host || c.hosts[id].Crashed() || c.hosts[id].Absent() {
 					continue
 				}
 				if inv, ok := c.hosts[id].(Invalidator); ok {
@@ -201,7 +188,7 @@ func (c *Controller) schedule(f Fault) {
 	case Join:
 		host := f.Host
 		c.at(f.At, func(now sim.Time) {
-			c.hosts[host].(Member).Join()
+			c.hosts[host].Join()
 			if c.probe != nil {
 				c.probe.NoteJoin(host, now)
 			}

@@ -1,7 +1,8 @@
 // Package chaos is a deterministic, seeded fault-injection harness for
 // the simulator: it composes churn scenarios — host crashes and
-// restarts, link up/down flaps, delay-jitter ramps, duplicate-delivery
-// storms and session-message starvation — from a declarative schema and
+// restarts, graceful leaves and joins, link up/down flaps, delay-jitter
+// ramps, duplicate-delivery storms, queue caps and session-message
+// starvation — from a declarative schema and
 // schedules every fault through the simulation engine, so a chaos run
 // is exactly as reproducible as a fault-free one: same seed, same spec,
 // same run fingerprint.
@@ -146,6 +147,19 @@ func (s *Spec) HasDuplicates() bool { return s.hasKind(Duplicate) }
 // no prefix of the stream is ever globally dead. Crash-only, link-flap,
 // jitter and duplicate specs leave the watermark sound.
 func (s *Spec) HasRestart() bool { return s.hasKind(Restart) }
+
+// CrashOnly reports whether every fault is a Crash. A crash drops no
+// data on any link, so a surviving receiver can never detect more
+// losses than the trace records: crash-only runs keep the experiment's
+// trace loss cross-check armed.
+func (s *Spec) CrashOnly() bool {
+	for _, f := range s.Faults {
+		if f.Kind != Crash {
+			return false
+		}
+	}
+	return true
+}
 
 // HasMembership reports whether the spec contains graceful leave or
 // join faults. Membership churn, like restarts, invalidates the

@@ -43,7 +43,7 @@ func (l *obsLog) ReplySent(h, source topology.NodeID, seq int, expedited bool) {
 		l.replies++
 	}
 }
-func (l *obsLog) SessionSent(topology.NodeID) {}
+func (l *obsLog) SessionSent(topology.NodeID)                         {}
 func (l *obsLog) RequestAbandoned(_, _ topology.NodeID, _ int, _ int) {}
 
 // detConfig returns a deterministic CESRM config (zero-width SRM timer

@@ -62,7 +62,7 @@ func (t Tuple) Pair() Pair { return Pair{t.Requestor, t.Replier} }
 // evicting the least recent packet first.
 type Cache struct {
 	capacity int
-	entries  map[int]Tuple
+	entries  []Tuple // ascending Seq, at most capacity long
 }
 
 // DefaultCacheCapacity is the default number of recent losses tracked.
@@ -75,7 +75,7 @@ func NewCache(capacity int) (*Cache, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("core: cache capacity %d < 1", capacity)
 	}
-	return &Cache{capacity: capacity, entries: make(map[int]Tuple, capacity)}, nil
+	return &Cache{capacity: capacity, entries: make([]Tuple, 0, capacity)}, nil
 }
 
 // Len returns the number of cached tuples.
@@ -84,10 +84,18 @@ func (c *Cache) Len() int { return len(c.entries) }
 // Capacity returns the maximum number of cached tuples.
 func (c *Cache) Capacity() int { return c.capacity }
 
+// find returns the index of packet seq in the cache, or the index it
+// would be inserted at, and whether it is cached.
+func (c *Cache) find(seq int) (int, bool) {
+	return slices.BinarySearchFunc(c.entries, seq, func(t Tuple, seq int) int { return t.Seq - seq })
+}
+
 // Get returns the cached tuple for packet seq.
 func (c *Cache) Get(seq int) (Tuple, bool) {
-	t, ok := c.entries[seq]
-	return t, ok
+	if i, ok := c.find(seq); ok {
+		return c.entries[i], true
+	}
+	return Tuple{}, false
 }
 
 // Update processes a recovery tuple observed on a repair reply (§3.1).
@@ -97,27 +105,22 @@ func (c *Cache) Get(seq int) (Tuple, bool) {
 // packets less recent than everything cached are discarded when full.
 // It returns whether the cache changed.
 func (c *Cache) Update(t Tuple) bool {
-	if cur, ok := c.entries[t.Seq]; ok {
-		if t.RecoveryDelay() < cur.RecoveryDelay() {
-			c.entries[t.Seq] = t
+	i, ok := c.find(t.Seq)
+	if ok {
+		if t.RecoveryDelay() < c.entries[i].RecoveryDelay() {
+			c.entries[i] = t
 			return true
 		}
 		return false
 	}
 	if len(c.entries) >= c.capacity {
-		oldest := t.Seq
-		// order-insensitive: a minimum over distinct keys.
-		for seq := range c.entries {
-			if seq < oldest {
-				oldest = seq
-			}
-		}
-		if oldest == t.Seq {
+		if i == 0 {
 			return false // less recent than everything cached
 		}
-		delete(c.entries, oldest)
+		c.entries = slices.Delete(c.entries, 0, 1)
+		i--
 	}
-	c.entries[t.Seq] = t
+	c.entries = slices.Insert(c.entries, i, t)
 	return true
 }
 
@@ -127,67 +130,43 @@ func (c *Cache) Update(t Tuple) bool {
 // replier simply never answers; invalidation lets a membership-aware
 // deployment skip even the wasted expedited attempt.
 func (c *Cache) InvalidateHost(n topology.NodeID) int {
-	removed := 0
-	// order-insensitive: deletes every match; the count is order-free.
-	for seq, t := range c.entries {
-		if t.Requestor == n || t.Replier == n {
-			delete(c.entries, seq)
-			removed++
-		}
-	}
-	return removed
+	before := len(c.entries)
+	c.entries = slices.DeleteFunc(c.entries, func(t Tuple) bool { return t.Requestor == n || t.Replier == n })
+	return before - len(c.entries)
 }
 
 // MostRecent returns the tuple of the most recent cached packet.
 func (c *Cache) MostRecent() (Tuple, bool) {
-	best := -1
-	// order-insensitive: a maximum over distinct keys.
-	for seq := range c.entries {
-		if seq > best {
-			best = seq
-		}
-	}
-	if best < 0 {
+	if len(c.entries) == 0 {
 		return Tuple{}, false
 	}
-	return c.entries[best], true
+	return c.entries[len(c.entries)-1], true
 }
 
 // MostFrequentPair returns the tuple whose requestor/replier pair
 // appears most frequently in the cache; ties break toward the more
 // recent packet.
 func (c *Cache) MostFrequentPair() (Tuple, bool) {
-	if len(c.entries) == 0 {
-		return Tuple{}, false
-	}
-	counts := make(map[Pair]int)
-	// order-insensitive: counting.
-	for _, t := range c.entries {
-		counts[t.Pair()]++
-	}
 	var best Tuple
-	bestCount := -1
-	found := false
-	// order-insensitive: (count, seq) is a total order, seqs are distinct.
-	for _, t := range c.entries {
-		n := counts[t.Pair()]
-		if n > bestCount || (n == bestCount && t.Seq > best.Seq) {
-			best, bestCount, found = t, n, true
+	bestCount := 0
+	// Newest first, replacing only on a strictly higher count, so ties
+	// keep the more recent packet.
+	for i := len(c.entries) - 1; i >= 0; i-- {
+		p, n := c.entries[i].Pair(), 0
+		for _, t := range c.entries {
+			if t.Pair() == p {
+				n++
+			}
+		}
+		if n > bestCount {
+			best, bestCount = c.entries[i], n
 		}
 	}
-	return best, found
+	return best, bestCount > 0
 }
 
 // Tuples returns a snapshot of all cached tuples, oldest packet first.
-func (c *Cache) Tuples() []Tuple {
-	out := make([]Tuple, 0, len(c.entries))
-	// order-insensitive: the snapshot is sorted before it is returned.
-	for _, t := range c.entries {
-		out = append(out, t)
-	}
-	slices.SortFunc(out, func(a, b Tuple) int { return a.Seq - b.Seq })
-	return out
-}
+func (c *Cache) Tuples() []Tuple { return slices.Clone(c.entries) }
 
 // Policy selects the expeditious requestor/replier pair for a new loss
 // from the cache (§3.2). Implementations must not mutate the cache.

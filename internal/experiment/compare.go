@@ -6,8 +6,8 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"cesrm/internal/chaos"
 	"cesrm/internal/core"
-	"cesrm/internal/topology"
 	"cesrm/internal/trace"
 )
 
@@ -29,9 +29,9 @@ type ComparisonRow struct {
 type ComparisonConfig struct {
 	// Seed drives all runs.
 	Seed int64
-	// Crashes optionally injects fail-stop receiver crashes (applied to
-	// every scheme identically).
-	Crashes map[topology.NodeID]time.Duration
+	// Chaos optionally injects faults, applied to every scheme
+	// identically.
+	Chaos *chaos.Spec
 	// LMSRefresh is LMS's router-state staleness window; zero selects
 	// the runner default.
 	LMSRefresh time.Duration
@@ -56,7 +56,7 @@ func RunComparison(tr *trace.Trace, cfg ComparisonConfig) ([]ComparisonRow, erro
 		rc := v.run
 		rc.Trace = tr
 		rc.Seed = cfg.Seed
-		rc.Crashes = cfg.Crashes
+		rc.Chaos = cfg.Chaos
 		res, err := Run(rc)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s: %w", v.label, err)
@@ -93,12 +93,17 @@ func RenderComparison(w io.Writer, results []SuiteResult, seed int64) {
 			continue
 		}
 		fmt.Fprintf(w, "Trace %s:\n", r.Entry.Name)
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "  scheme\tmean\tp99\tcost/loss\texpedited")
-		for _, row := range rows {
-			fmt.Fprintf(tw, "  %s\t%.2f\t%.1f\t%.1f\t%.0f%%\n",
-				row.Scheme, row.MeanRTT, row.P99RTT, row.CostPerLoss, row.ExpeditedPct)
-		}
-		tw.Flush()
+		RenderComparisonRows(w, rows)
 	}
+}
+
+// RenderComparisonRows prints one trace's RunComparison rows as a table.
+func RenderComparisonRows(w io.Writer, rows []ComparisonRow) {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "  scheme\tmean\tp99\tcost/loss\texpedited")
+	for _, row := range rows {
+		fmt.Fprintf(tw, "  %s\t%.2f\t%.1f\t%.1f\t%.0f%%\n",
+			row.Scheme, row.MeanRTT, row.P99RTT, row.CostPerLoss, row.ExpeditedPct)
+	}
+	tw.Flush()
 }

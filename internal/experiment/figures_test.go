@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cesrm/internal/chaos"
 	"cesrm/internal/core"
 	"cesrm/internal/netsim"
 	"cesrm/internal/srm"
@@ -391,28 +392,17 @@ func TestPropertyRandomTracesRunClean(t *testing.T) {
 // must recover everything once the link heals.
 func TestLinkOutageRecovery(t *testing.T) {
 	tr := smallTrace(t, 17)
-	// Cut the first receiver's path for 20 seconds mid-transmission.
+	// Cut the first receiver's path for 20 seconds mid-transmission: the
+	// source sends one packet per 80ms after a 3s warmup, so the window
+	// spans roughly 250 packets.
 	victim := tr.Tree.Receivers()[0]
-	cutLink := topology.LinkID(victim)
 	res, err := Run(RunConfig{
 		Trace:    tr,
 		Protocol: CESRM,
 		Seed:     5,
-		ExtraDrop: func(p *netsim.Packet, l topology.LinkID, down bool) bool {
-			// The drop hook has no clock; approximate the outage window
-			// by sequence number instead: the source sends one packet
-			// per 80ms after a 3s warmup, so seqs in [337, 587] span
-			// roughly t=30s..50s. Recovery traffic for those packets is
-			// also cut while the window's data flows, which is the
-			// interesting regime.
-			if l != cutLink {
-				return false
-			}
-			if m, ok := p.Msg.(*srm.DataMsg); ok {
-				return m.Seq >= 337 && m.Seq < 587
-			}
-			return false
-		},
+		Chaos: &chaos.Spec{Name: "outage", Faults: []chaos.Fault{
+			{Kind: chaos.LinkDown, At: 30 * time.Second, Until: 50 * time.Second, Link: topology.LinkID(victim)},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -484,7 +474,7 @@ func TestCrashedReceiverExemptFromChecks(t *testing.T) {
 		res, err := Run(RunConfig{
 			Trace:    tr,
 			Protocol: proto,
-			Crashes:  map[topology.NodeID]time.Duration{victim: 10 * time.Second},
+			Chaos:    crashSpec(victim, 10*time.Second),
 			Seed:     5,
 		})
 		if err != nil {
@@ -498,7 +488,7 @@ func TestCrashedReceiverExemptFromChecks(t *testing.T) {
 	if _, err := Run(RunConfig{
 		Trace:    tr,
 		Protocol: SRM,
-		Crashes:  map[topology.NodeID]time.Duration{tr.Tree.Root(): time.Second},
+		Chaos:    crashSpec(tr.Tree.Root(), time.Second),
 		Seed:     5,
 	}); err == nil {
 		t.Fatal("source crash accepted")
@@ -514,17 +504,17 @@ func TestCrashRobustnessCESRMvsLMS(t *testing.T) {
 	tr := smallTrace(t, 21)
 	// LMS designates the lowest-ID receiver as replier nearly everywhere.
 	victim := tr.Tree.Receivers()[0]
-	crashes := map[topology.NodeID]time.Duration{victim: 20 * time.Second}
+	crash := crashSpec(victim, 20*time.Second)
 	refresh := 8 * time.Second
 
 	lmsRes, err := Run(RunConfig{
-		Trace: tr, Protocol: LMS, Crashes: crashes, LMSRefresh: refresh, Seed: 5,
+		Trace: tr, Protocol: LMS, Chaos: crash, LMSRefresh: refresh, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cesrmRes, err := Run(RunConfig{
-		Trace: tr, Protocol: CESRM, Crashes: crashes, Seed: 5,
+		Trace: tr, Protocol: CESRM, Chaos: crash, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -564,6 +554,37 @@ func TestRunComparisonAllSchemes(t *testing.T) {
 	}
 	if byName["CESRM"].ExpeditedPct <= 0 || byName["SRM"].ExpeditedPct != 0 {
 		t.Fatal("expedited percentages wrong")
+	}
+}
+
+// crashSpec is a one-fault spec crashing host at the given instant.
+func crashSpec(host topology.NodeID, at time.Duration) *chaos.Spec {
+	return &chaos.Spec{Name: "crash", Faults: []chaos.Fault{{Kind: chaos.Crash, At: at, Host: host}}}
+}
+
+// TestRunComparisonReplierCrashRaisesLMSTail drives RunComparison with
+// a crash spec: crashing the receiver LMS designates as replier must
+// raise LMS's p99 latency over the same fault-free comparison.
+func TestRunComparisonReplierCrashRaisesLMSTail(t *testing.T) {
+	tr := smallTrace(t, 21)
+	lmsP99 := func(spec *chaos.Spec) float64 {
+		t.Helper()
+		rows, err := RunComparison(tr, ComparisonConfig{Seed: 5, LMSRefresh: 8 * time.Second, Chaos: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if r.Scheme == "LMS" {
+				return r.P99RTT
+			}
+		}
+		t.Fatal("no LMS row")
+		return 0
+	}
+	clean := lmsP99(nil)
+	crashed := lmsP99(crashSpec(tr.Tree.Receivers()[0], 20*time.Second))
+	if crashed <= clean {
+		t.Fatalf("LMS p99 %.1f RTT under replier crash not above fault-free %.1f RTT", crashed, clean)
 	}
 }
 

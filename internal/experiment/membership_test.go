@@ -17,7 +17,7 @@ import (
 )
 
 // TestMembershipScheduleLeaveJoin drives a mid-session leave and rejoin
-// through RunConfig.Membership and checks the headline properties: the
+// through leave and join chaos faults and checks the headline properties: the
 // run completes fully reliable, the departed host is silent for exactly
 // the absence window, and the whole configuration replays to the
 // identical fingerprint.
@@ -29,10 +29,10 @@ func TestMembershipScheduleLeaveJoin(t *testing.T) {
 	leaveAt, joinAt := h*3/10, h*13/20
 	cfg := RunConfig{
 		Trace: tr, Protocol: CESRM, Seed: 9,
-		Membership: []MembershipEvent{
-			{Host: victim, At: leaveAt},
-			{Host: victim, At: joinAt, Join: true},
-		},
+		Chaos: &chaos.Spec{Name: "leave-join", Faults: []chaos.Fault{
+			{Kind: chaos.Leave, At: leaveAt, Host: victim},
+			{Kind: chaos.Join, At: joinAt, Host: victim},
+		}},
 		KeepEvents: true,
 	}
 	res, err := Run(cfg)
@@ -77,7 +77,7 @@ func TestLateJoinStartsAtPostJoinData(t *testing.T) {
 	joinAt := h / 2
 	res, err := Run(RunConfig{
 		Trace: tr, Protocol: CESRM, Seed: 10,
-		Membership: []MembershipEvent{{Host: victim, At: joinAt, Join: true}},
+		Chaos:      &chaos.Spec{Name: "late-join", Faults: []chaos.Fault{{Kind: chaos.Join, At: joinAt, Host: victim}}},
 		KeepEvents: true,
 	})
 	if err != nil {
@@ -254,8 +254,8 @@ func TestRenderersSurviveDepartedReceivers(t *testing.T) {
 	recs := tr.Tree.Receivers()
 	h := chaosHorizon(tr)
 	pair, err := RunPair(tr, PairConfig{Base: RunConfig{
-		Seed:       9,
-		Membership: []MembershipEvent{{Host: recs[2], At: h * 3 / 10}},
+		Seed:  9,
+		Chaos: &chaos.Spec{Name: "leave", Faults: []chaos.Fault{{Kind: chaos.Leave, At: h * 3 / 10, Host: recs[2]}}},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -277,24 +277,5 @@ func TestRenderersSurviveDepartedReceivers(t *testing.T) {
 		if strings.Contains(buf.String(), bad) {
 			t.Fatalf("rendered output contains %s:\n%s", bad, buf.String())
 		}
-	}
-}
-
-// TestChurnFreeRunsIgnoreMembershipMachinery pins fingerprint inertness
-// from the other side: the same configuration with and without an
-// explicitly-zero membership schedule must produce byte-identical
-// fingerprints (the nil and empty schedules are the same run).
-func TestChurnFreeRunsIgnoreMembershipMachinery(t *testing.T) {
-	tr := smallTrace(t, 15)
-	base, err := Run(RunConfig{Trace: tr, Protocol: CESRM, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty, err := Run(RunConfig{Trace: tr, Protocol: CESRM, Seed: 9, Membership: []MembershipEvent{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Fingerprint != empty.Fingerprint {
-		t.Fatalf("empty membership schedule changed the fingerprint: %s vs %s", base.Fingerprint, empty.Fingerprint)
 	}
 }

@@ -6,7 +6,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"cesrm/internal/chaos"
@@ -80,44 +79,32 @@ type RunConfig struct {
 	// may transiently classify in-flight packets as lost, so the
 	// detected-loss cross-check against the trace is skipped.
 	Jitter time.Duration
-	// ExtraDrop, when non-nil, is consulted for every packet-link
-	// crossing in addition to the trace-driven injection; returning true
-	// drops the packet. Use it for fault injection beyond the trace —
-	// link outages, targeted partitions, adversarial drops. Session
-	// messages are exempt unless DropSessions is also set.
+	// ExtraDrop, when non-nil, is consulted for every non-session
+	// packet-link crossing in addition to the trace-driven injection;
+	// returning true drops the packet. It is the programmatic hook for
+	// drops the Chaos grammar cannot express, such as only the requests
+	// and replies for one seq. Session messages are always exempt: link
+	// outages and session starvation are Chaos faults.
 	ExtraDrop netsim.DropFunc
-	// DropSessions exposes session messages to ExtraDrop too. The
-	// paper's evaluation presumes lossless session exchange; partitions
-	// and outages realistically sever it.
-	DropSessions bool
 	// LossyRecovery additionally drops recovery traffic (requests,
 	// replies, expedited traffic — never session messages) with the
 	// per-link estimated loss probabilities, as in the paper's companion
 	// experiments. The default reproduces the paper's main setup:
 	// lossless recovery.
 	LossyRecovery bool
-	// Crashes schedules fail-stop receiver crashes at the given virtual
-	// offsets from simulation start. Crashed receivers are exempt from
-	// the completion and reliability checks (they can never recover).
-	// Crashing the source is rejected.
-	Crashes map[topology.NodeID]time.Duration
 	// Chaos, when non-nil, installs the deterministic fault-injection
-	// harness: host crashes and restarts, graceful leaves and joins,
-	// link flaps, jitter ramps, duplicate storms, queue-cap windows and
-	// session starvation, all scheduled through the engine so the run
-	// fingerprint stays a pure function of the configuration. Chaos runs
-	// skip the trace loss cross-check (a restarted host legitimately
-	// re-detects everything) and arm the validator's post-crash-silence
-	// and bounded-fallback invariants.
+	// harness, the run's one fault schedule: receiver crashes and
+	// restarts, graceful leaves and joins (a Join-first host starts the
+	// run absent — a late joiner), link flaps, jitter ramps, duplicate
+	// storms, queue-cap windows and session starvation, all scheduled
+	// through the engine so the run fingerprint stays a pure function of
+	// the configuration. Crashed and departed receivers are exempt from
+	// the completion and reliability checks. Chaos runs arm the
+	// validator's post-crash-silence and bounded-fallback invariants;
+	// specs with any fault other than Crash also skip the trace loss
+	// cross-check (a restarted host legitimately re-detects everything,
+	// a severed link drops data the trace never lost).
 	Chaos *chaos.Spec
-	// Membership schedules graceful membership churn without writing a
-	// chaos spec by hand: each event is a receiver's announced Leave or
-	// mid-session Join at a virtual offset. Events merge into Chaos
-	// (creating a spec when nil), so they share its validation,
-	// scheduling determinism and invariant arming. Per host, events must
-	// be listed in chronological order and alternate (a Join-first host
-	// starts the run absent — a late joiner).
-	Membership []MembershipEvent
 	// Budget installs the engine's optional guardrails: bounds on
 	// virtual time, dispatched events and pending timers, plus the
 	// same-instant progress watchdog. A run that trips a bound
@@ -172,16 +159,6 @@ type RunConfig struct {
 	MaxTail time.Duration
 }
 
-// MembershipEvent is one scheduled graceful membership change.
-type MembershipEvent struct {
-	// Host is the receiver leaving or joining.
-	Host topology.NodeID
-	// At is the virtual offset from simulation start.
-	At time.Duration
-	// Join admits the host; false announces its departure.
-	Join bool
-}
-
 // RunResult carries a completed run's metrics.
 type RunResult struct {
 	// Config echoes the run configuration.
@@ -233,8 +210,7 @@ type RunResult struct {
 	// not silent data loss.
 	Abandoned int
 	// ChurnEvents counts the membership events (graceful leaves plus
-	// joins) the run's schedule carried, whether from RunConfig.Membership
-	// or leave@/join@ chaos faults. Zero for churn-free runs.
+	// joins) in RunConfig.Chaos. Zero for churn-free runs.
 	ChurnEvents int
 	// Status reports how the engine terminated. The zero value,
 	// sim.Completed, is the only status budget-free runs ever produce;
@@ -299,8 +275,10 @@ func (e *QuiesceError) Error() string {
 		e.Trace, e.Protocol, e.MaxTail)
 }
 
-// agent abstracts over the protocol endpoints' lifecycle.
+// agent abstracts over the protocol endpoints' lifecycle; every
+// endpoint is also the chaos.Host that fault injection drives.
 type agent interface {
+	chaos.Host
 	StartSessions()
 	Stop()
 	Transmit(seq int)
@@ -318,9 +296,6 @@ type inspector interface {
 	ReleasableThrough(source topology.NodeID) int
 	ReleaseThrough(source topology.NodeID, n int)
 }
-
-// crasher is the fail-stop surface every protocol endpoint shares.
-type crasher interface{ Crash() }
 
 // expFallbackBound is invariant 7's request-round budget: a loss chased
 // by an expedited request whose cached replier turned out dead must
@@ -366,26 +341,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	if cfg.MaxTail == 0 {
 		cfg.MaxTail = 10 * time.Minute
-	}
-	// A membership schedule merges into the chaos spec (cloned, never
-	// mutating the caller's), sharing its validation and deterministic
-	// scheduling. This runs before any RNG split decision: a Membership
-	// schedule makes cfg.Chaos non-nil exactly like writing the spec by
-	// hand would.
-	if len(cfg.Membership) > 0 {
-		merged := &chaos.Spec{Name: "membership"}
-		if cfg.Chaos != nil {
-			merged.Name = cfg.Chaos.Name
-			merged.Faults = append(merged.Faults, cfg.Chaos.Faults...)
-		}
-		for _, e := range cfg.Membership {
-			kind := chaos.Leave
-			if e.Join {
-				kind = chaos.Join
-			}
-			merged.Faults = append(merged.Faults, chaos.Fault{Kind: kind, At: e.At, Host: e.Host})
-		}
-		cfg.Chaos = merged
 	}
 	// Membership churn arms bounded-retry degradation: without it, a
 	// receiver whose cached repliers departed would double its back-off
@@ -449,12 +404,12 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		if chaosCtl != nil && chaosCtl.Drop(p, link, down) {
 			return true
 		}
-		if cfg.ExtraDrop != nil && (!p.Session || cfg.DropSessions) && cfg.ExtraDrop(p, link, down) {
-			return true
-		}
 		if p.Session {
 			// The paper's evaluation presumes lossless session exchange.
 			return false
+		}
+		if cfg.ExtraDrop != nil && cfg.ExtraDrop(p, link, down) {
+			return true
 		}
 		if m, ok := p.Msg.(*srm.DataMsg); ok {
 			if !down {
@@ -482,10 +437,10 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	// Release is gated on restart-free configurations only: a restarted
 	// host legitimately re-detects and re-recovers everything, so no
 	// prefix of the stream is ever globally dead. Every other fault —
-	// permanent crashes (chaos or cfg.Crashes), link flaps, jitter
-	// ramps, duplicate storms, starvation — leaves the watermark sound:
-	// crashed hosts never rejoin and are skipped, and the remaining
-	// faults only delay recovery, which the watermark already waits for.
+	// permanent crashes, link flaps, jitter ramps, duplicate storms,
+	// starvation — leaves the watermark sound: crashed hosts never rejoin
+	// and are skipped, and the remaining faults only delay recovery,
+	// which the watermark already waits for.
 	// Membership churn invalidates the watermark the same way restarts
 	// do: a late joiner's classification window opens after packets the
 	// watermark may already have released on other hosts.
@@ -560,19 +515,17 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		}
 	}
 
-	// Stage 4: schedule chaos faults, session start, data transmission,
-	// crashes, and the completion monitor. Scheduling assigns the
-	// engine's FIFO tie-breaker sequence numbers, so every loop here must
-	// iterate in a deterministic order — the ordered hosts slice and
-	// sorted crash hosts, never a map. Chaos faults are scheduled first,
-	// so a crash coinciding exactly with a protocol timer dispatches
-	// before it.
+	// Stage 4: schedule chaos faults, session start, data transmission
+	// and the completion monitor. Scheduling assigns the engine's FIFO
+	// tie-breaker sequence numbers, so every loop here must iterate in a
+	// deterministic order — the ordered hosts slice and the spec's fault
+	// order, never a map. chaos.Install is the only code that schedules
+	// faults, and it runs first, so a crash coinciding exactly with a
+	// protocol timer dispatches before it.
 	if cfg.Chaos != nil {
 		targets := make(map[topology.NodeID]chaos.Host, len(hosts))
 		for _, id := range hosts {
-			if h, ok := agents[id].(chaos.Host); ok {
-				targets[id] = h
-			}
+			targets[id] = agents[id]
 		}
 		validator.BoundExpFallback(expFallbackBound)
 		ctl, err := chaos.Install(eng, net, chaosRNG, cfg.Chaos, targets, validator)
@@ -594,11 +547,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			if !absentAtStart[id] {
 				continue
 			}
-			m, ok := agents[id].(chaos.Member)
-			if !ok {
-				return nil, fmt.Errorf("experiment: host %d does not support membership", id)
-			}
-			m.Leave()
+			agents[id].Leave()
 			validator.NoteLeave(id, 0)
 		}
 	}
@@ -607,26 +556,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			continue
 		}
 		agents[id].StartSessions()
-	}
-	crashHosts := make([]topology.NodeID, 0, len(cfg.Crashes))
-	// order-insensitive: the collected hosts are sorted below.
-	for h := range cfg.Crashes {
-		crashHosts = append(crashHosts, h)
-	}
-	sort.Slice(crashHosts, func(i, j int) bool { return crashHosts[i] < crashHosts[j] })
-	for _, h := range crashHosts {
-		if h == source {
-			return nil, fmt.Errorf("experiment: cannot crash the source")
-		}
-		c, ok := agents[h].(crasher)
-		if !ok {
-			return nil, fmt.Errorf("experiment: host %d is not crashable", h)
-		}
-		h := h
-		eng.ScheduleAt(sim.Time(cfg.Crashes[h]), func(now sim.Time) {
-			c.Crash()
-			validator.NoteCrash(h, now)
-		})
 	}
 	numPackets := tr.NumPackets()
 	srcAgent := agents[source]
@@ -762,13 +691,15 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	// may detect fewer losses than the trace records — a repair reply
 	// instigated by another receiver can deliver a packet before its own
 	// detection fires — but never more, and every receiver must end up
-	// holding every packet (full reliability).
+	// holding every packet (full reliability). The loss cross-check holds
+	// under crash-only chaos too: a crash drops nothing on any link.
+	crossCheck := cfg.Jitter == 0 && cfg.ExtraDrop == nil && (cfg.Chaos == nil || cfg.Chaos.CrashOnly())
 	for ri, r := range tree.Receivers() {
 		a := inspectors[r]
 		if a.Crashed() || a.Absent() {
 			continue
 		}
-		if got, want := collector.Losses(r), tr.ReceiverLosses(ri); got > want && cfg.Jitter == 0 && cfg.ExtraDrop == nil && cfg.Chaos == nil {
+		if got, want := collector.Losses(r), tr.ReceiverLosses(ri); got > want && crossCheck {
 			return nil, fmt.Errorf("experiment: %s/%s receiver %d detected %d losses, trace has only %d",
 				tr.Name, cfg.Protocol, r, got, want)
 		}

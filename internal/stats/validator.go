@@ -33,6 +33,7 @@ import (
 //     NoteRestart (which also resets the host's audit rows — a
 //     restarted host rejoins with amnesia and legitimately re-detects
 //     its losses).
+//
 //  7. Expedited recovery falls back to SRM within a bounded number of
 //     request rounds (BoundExpFallback): a loss that was chased with an
 //     expedited request but recovered unexpedited — the cached replier
